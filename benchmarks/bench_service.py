@@ -123,3 +123,34 @@ def test_service_query_cached(benchmark, served, workload, table,
         assert all(a.cached for a in answers)
     finally:
         cached_frontend.close()
+
+
+#: Publication sizes of the snapshot benches, as fractions of the
+#: configured ``default_n``: the snapshot cost must not grow with them.
+SNAPSHOT_SIZES = {"small": 0.1, "large": 1.0}
+
+
+@pytest.mark.parametrize("size", sorted(SNAPSHOT_SIZES))
+def test_service_snapshot(benchmark, table, bench_config, size):
+    """``snapshot()`` after one sealing 1,000-row ingest, at two
+    publication sizes (``bench.service_snapshot_{small,large}``)."""
+    rows = table.code_matrix()
+    base = max(CHUNK_ROWS, int(len(rows) * SNAPSHOT_SIZES[size]))
+    stream = np.resize(rows[::-1], (8 * CHUNK_ROWS, rows.shape[1]))
+    offsets = iter(range(0, len(stream), CHUNK_ROWS))
+
+    def setup():
+        start, version = next(offsets), publication.version
+        publication.ingest(stream[start:start + CHUNK_ROWS].tolist())
+        assert publication.version > version  # sealed: a rebuild is due
+        return (), {}
+
+    registry = PublicationRegistry()
+    publication = registry.create("bench", table.schema, l=bench_config.l)
+    publication.ingest(rows[:base].tolist())
+    publication.snapshot()
+    snapshot = benchmark.pedantic(publication.snapshot, setup=setup,
+                                  rounds=7)
+    record(f"bench.service_snapshot_{size}", benchmark.stats.stats.mean,
+           rows=base)
+    assert snapshot.version == publication.version

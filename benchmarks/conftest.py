@@ -11,15 +11,23 @@ from __future__ import annotations
 
 import os
 
-import pytest
+#: BLAS/OpenMP pools pinned to one thread before numpy loads: on small
+#: machines the default pools oversubscribe the cores and make timings
+#: bimodal.  The pins are stamped into the summary metadata.
+THREAD_PINS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+               "MKL_NUM_THREADS")
+for _name in THREAD_PINS:
+    os.environ[_name] = "1"
 
-from repro.dataset.census import CensusDataset
-from repro.experiments.config import (
+import pytest  # noqa: E402
+
+from repro.dataset.census import CensusDataset  # noqa: E402
+from repro.experiments.config import (  # noqa: E402
     DEFAULT_CONFIG,
     PAPER_CONFIG,
     SMOKE_CONFIG,
 )
-from repro.perf import PerfRecorder, set_recorder
+from repro.perf import PerfRecorder, set_recorder  # noqa: E402
 
 #: The grid every bench runs.  Select with REPRO_BENCH_SCALE =
 #: smoke | default | paper (default: default).  "paper" is the faithful
@@ -46,6 +54,7 @@ def perf_recorder():
         default_n=BENCH_CONFIG.default_n,
         workers=BENCH_WORKERS,
         cpu_count=os.cpu_count(),
+        blas_threads={name: os.environ[name] for name in THREAD_PINS},
     )
     previous = set_recorder(recorder)
     yield recorder

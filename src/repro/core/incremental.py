@@ -28,16 +28,28 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterable, Sequence
+from functools import partial
 
 import numpy as np
 
 from repro.core.partition import Partition
-from repro.core.tables import AnatomizedTables
+from repro.core.arrays import AppendBuffer
+from repro.core.tables import (
+    AnatomizedTables,
+    QuasiIdentifierTable,
+    SensitiveTable,
+)
 from repro.dataset.schema import Schema
 from repro.dataset.table import Table
 from repro.exceptions import ReproError, SchemaError
 from repro.obs import metrics
 from repro.perf import record, span
+
+
+def _consecutive_groups(table: Table, l: int) -> Partition:
+    """The partition of ``table`` into consecutive groups of ``l`` rows."""
+    return Partition(table, list(np.arange(len(table)).reshape(-1, l)),
+                     validate=False)
 
 
 class IncrementalAnatomizer:
@@ -73,41 +85,66 @@ class IncrementalAnatomizer:
         self.schema = schema
         self.l = int(l)
         self._rng = np.random.default_rng(seed)
-        #: Sealed groups: list of (group_id, list of row code-tuples).
-        self._groups: list[list[tuple[int, ...]]] = []
+        #: Sealed rows in Group-ID order (group j is rows
+        #: [(j-1)*l, j*l)): QI codes, and per row its Group-ID and its
+        #: group's sorted sensitive codes — for all-distinct groups of
+        #: l the ST records line up one per QIT row.  Append-only, so
+        #: every release is a prefix view.
+        self._qi = AppendBuffer(np.int32, (schema.d,))
+        self._sensitive = AppendBuffer(np.int32)
+        self._group_ids = AppendBuffer(np.int32)
+        self._st_codes = AppendBuffer(np.int32)
+        self._ones = AppendBuffer(np.int64)
+        self._sealed = 0
         #: Buffered rows per sensitive code (Figure 3's hash buckets,
         #: maintained incrementally).
-        self._buffer: dict[int, list[tuple[int, ...]]] = {}
+        self._buffer: dict[int, list[list[int]]] = {}
         self._buffered = 0
-        #: Cached (version, release) pair backing snapshot semantics.
-        self._release_cache: tuple[int, AnatomizedTables] | None = None
 
     # ------------------------------------------------------------------ #
     # ingestion
     # ------------------------------------------------------------------ #
 
-    def insert_codes(self, rows: Iterable[Sequence[int]]) -> int:
-        """Insert rows given as code tuples ``(qi..., sensitive)``.
-
-        Returns the number of new groups sealed by this batch.
-        """
-        rows = list(rows)
-        with span("incremental.ingest", rows=len(rows)):
-            width = len(self.schema.attributes)
+    def _validate(self, rows: list) -> np.ndarray:
+        """The batch as an ``(n, d+1)`` code matrix, or
+        :class:`SchemaError` naming the first bad row or code.  Nothing
+        is buffered before the whole batch passes."""
+        attrs = self.schema.attributes
+        width = len(attrs)
+        try:
+            codes = np.asarray(rows, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):
+            codes = None
+        if codes is None or codes.ndim != 2 or codes.shape[1] != width:
             for row in rows:
-                row = tuple(int(v) for v in row)
                 if len(row) != width:
                     raise SchemaError(
                         f"row has {len(row)} codes, schema expects "
                         f"{width}")
-                for code, attr in zip(row, self.schema.attributes):
-                    if not 0 <= code < attr.size:
-                        raise SchemaError(
-                            f"code {code} out of domain for "
-                            f"{attr.name!r}")
-                sens = row[-1]
-                self._buffer.setdefault(sens, []).append(row)
-                self._buffered += 1
+            raise SchemaError("row codes must be integers")
+        sizes = np.fromiter((a.size for a in attrs), dtype=np.int64,
+                            count=width)
+        bad = np.flatnonzero(((codes < 0) | (codes >= sizes)).ravel())
+        if len(bad):
+            row, col = divmod(int(bad[0]), width)
+            raise SchemaError(
+                f"code {int(codes[row, col])} out of domain for "
+                f"{attrs[col].name!r}")
+        return codes
+
+    def insert_codes(self, rows: Iterable[Sequence[int]]) -> int:
+        """Insert rows given as code tuples ``(qi..., sensitive)``.
+
+        The batch is validated as a whole first: a bad row raises
+        :class:`SchemaError` and leaves the anatomizer unchanged.
+        Returns the number of new groups sealed by this batch.
+        """
+        rows = list(rows)
+        with span("incremental.ingest", rows=len(rows)):
+            if rows:
+                for row in self._validate(rows).tolist():
+                    self._buffer.setdefault(row[-1], []).append(row)
+                self._buffered += len(rows)
             sealed = self._drain_buffer()
         if metrics.enabled():
             metrics.inc("repro_incremental_rows_total", len(rows))
@@ -133,33 +170,44 @@ class IncrementalAnatomizer:
         """Insert every row of a table (schema must match)."""
         if table.schema != self.schema:
             raise SchemaError("table schema does not match")
-        return self.insert_codes(table.iter_rows())
+        return self.insert_codes(table.code_matrix())
 
     def _drain_buffer(self) -> int:
         """Seal as many all-distinct groups of l tuples as the buffer
         allows (the group-creation step restricted to the buffer)."""
         start = time.perf_counter()
-        sealed = 0
+        sealed: list[list[int]] = []
         while True:
             nonempty = [c for c, rows in self._buffer.items() if rows]
             if len(nonempty) < self.l:
                 break
             nonempty.sort(key=lambda c: len(self._buffer[c]),
                           reverse=True)
-            chosen = nonempty[:self.l]
-            group = []
-            for code in chosen:
+            for code in nonempty[:self.l]:
                 rows = self._buffer[code]
                 pick = int(self._rng.integers(len(rows)))
                 rows[pick], rows[-1] = rows[-1], rows[pick]
-                group.append(rows.pop())
-            self._groups.append(group)
-            self._buffered -= self.l
-            sealed += 1
+                sealed.append(rows.pop())
         if sealed:
+            self._append_groups(np.asarray(sealed, dtype=np.int32))
             record("incremental.seal", time.perf_counter() - start,
-                   sealed=sealed)
-        return sealed
+                   sealed=len(sealed) // self.l)
+        return len(sealed) // self.l
+
+    def _append_groups(self, rows: np.ndarray) -> None:
+        """Append freshly sealed groups (``l`` consecutive rows each)."""
+        n, groups = self._sealed * self.l, len(rows) // self.l
+        sensitive = rows[:, -1]
+        self._qi = self._qi.append(n, rows[:, :-1])
+        self._sensitive = self._sensitive.append(n, sensitive)
+        self._group_ids = self._group_ids.append(n, np.repeat(
+            np.arange(self._sealed + 1, self._sealed + groups + 1,
+                      dtype=np.int32), self.l))
+        self._st_codes = self._st_codes.append(
+            n, np.sort(sensitive.reshape(groups, self.l), axis=1).ravel())
+        self._ones = self._ones.append(n, np.ones(len(rows), np.int64))
+        self._buffered -= len(rows)
+        self._sealed += groups
 
     # ------------------------------------------------------------------ #
     # state
@@ -174,15 +222,15 @@ class IncrementalAnatomizer:
         immutable and append-only, the release at version ``v`` is
         always the first ``v`` groups (see :meth:`publish`).
         """
-        return len(self._groups)
+        return self._sealed
 
     @property
     def published_tuple_count(self) -> int:
-        return self.l * len(self._groups)
+        return self.l * self._sealed
 
     @property
     def group_count(self) -> int:
-        return len(self._groups)
+        return self._sealed
 
     @property
     def buffered_count(self) -> int:
@@ -197,37 +245,39 @@ class IncrementalAnatomizer:
     # publication
     # ------------------------------------------------------------------ #
 
+    def _check_version(self, at_version: int | None) -> int:
+        version = self.version if at_version is None else int(at_version)
+        if not 1 <= version <= self._sealed:
+            raise ReproError(
+                "nothing to publish yet: fewer than l distinct "
+                "sensitive values have arrived"
+                if not self._sealed else
+                f"no release at version {version}; current version is "
+                f"{self.version}")
+        return version
+
     def publish(self, at_version: int | None = None) -> AnatomizedTables:
         """The release at ``at_version`` (default: current) as QIT/ST.
 
         Group-IDs are stable across successive calls — group ``j`` in
         one release is group ``j`` in every later release, with
         identical membership — so the release at version ``v`` is the
-        first ``v`` sealed groups.  Repeated calls are side-effect-free
-        snapshots: the current release is built once per version and
-        the same (immutable) object is returned until new groups seal.
+        first ``v`` sealed groups, and its QIT/ST arrays are read-only
+        prefix views of the sealed-row store: publishing copies
+        nothing, and later ingests never change a release already
+        handed out.
         """
-        version = self.version if at_version is None else int(at_version)
-        if not 1 <= version <= len(self._groups):
-            raise ReproError(
-                "nothing to publish yet: fewer than l distinct "
-                "sensitive values have arrived"
-                if not self._groups else
-                f"no release at version {version}; current version is "
-                f"{self.version}")
-        cached = self._release_cache
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        rows = [row for group in self._groups[:version] for row in group]
-        codes = np.asarray(rows, dtype=np.int32)
-        table = Table.from_codes(self.schema, codes)
-        groups = [range(j * self.l, (j + 1) * self.l)
-                  for j in range(version)]
-        partition = Partition(table, groups, validate=False)
-        release = AnatomizedTables.from_partition(partition)
-        if at_version is None or version == self.version:
-            self._release_cache = (version, release)
-        return release
+        version = self._check_version(at_version)
+        n = version * self.l
+        gids = self._group_ids.view(n)
+        qit = QuasiIdentifierTable(self.schema, self._qi.view(n), gids)
+        st = SensitiveTable.from_sorted(
+            self.schema, gids, self._st_codes.view(n), self._ones.view(n),
+            np.arange(0, n + 1, self.l))
+        return AnatomizedTables(
+            self.schema, qit, st,
+            partition=partial(_consecutive_groups, self.microdata(version),
+                              self.l))
 
     def microdata(self, at_version: int | None = None) -> Table:
         """The *published* rows at ``at_version`` as a microdata table.
@@ -240,17 +290,12 @@ class IncrementalAnatomizer:
         canary utility monitor measures the paper's Section-7 relative
         error against exactly this table.
         """
-        version = self.version if at_version is None else int(at_version)
-        if not 1 <= version <= len(self._groups):
-            raise ReproError(
-                "nothing published yet: fewer than l distinct "
-                "sensitive values have arrived"
-                if not self._groups else
-                f"no release at version {version}; current version is "
-                f"{self.version}")
-        rows = [row for group in self._groups[:version] for row in group]
-        return Table.from_codes(self.schema,
-                                np.asarray(rows, dtype=np.int32))
+        n = self._check_version(at_version) * self.l
+        qi = self._qi.view(n)
+        columns = {a.name: qi[:, k]
+                   for k, a in enumerate(self.schema.qi_attributes)}
+        columns[self.schema.sensitive.name] = self._sensitive.view(n)
+        return Table(self.schema, columns, validate=False)
 
     def flush_report(self) -> dict[str, int]:
         """Why the buffered tuples cannot be sealed yet: per sensitive

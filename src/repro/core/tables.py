@@ -16,7 +16,7 @@ Lemma 1, and exposes the adversary-facing probability interface used by
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from typing import Any
 
 import numpy as np
@@ -91,40 +91,82 @@ class QuasiIdentifierTable:
 class SensitiveTable:
     """The published ST: ``(Group-ID, As, Count)`` records.
 
-    Records are stored sorted by Group-ID, then sensitive code.
+    Records are stored sorted by Group-ID, then sensitive code (input
+    already in that order is kept as is).  Groups are located through
+    an offsets array: the records of the ``k``-th distinct Group-ID
+    ``_gids[k]`` are ``[_offsets[k], _offsets[k+1])``.
     """
 
     __slots__ = ("schema", "group_ids", "sensitive_codes", "counts",
-                 "_group_slices", "_group_sizes")
+                 "_gids", "_offsets", "_sizes")
 
     def __init__(self, schema: Schema, group_ids: np.ndarray,
                  sensitive_codes: np.ndarray, counts: np.ndarray) -> None:
         self.schema = schema
-        order = np.lexsort((np.asarray(sensitive_codes),
-                            np.asarray(group_ids)))
-        self.group_ids = np.asarray(group_ids, dtype=np.int32)[order]
-        self.sensitive_codes = np.asarray(
-            sensitive_codes, dtype=np.int32)[order]
-        self.counts = np.asarray(counts, dtype=np.int64)[order]
-        if not (len(self.group_ids) == len(self.sensitive_codes)
-                == len(self.counts)):
+        # Own copies: the arrays are frozen below.
+        group_ids = np.array(group_ids, dtype=np.int32)
+        sensitive_codes = np.array(sensitive_codes, dtype=np.int32)
+        counts = np.array(counts, dtype=np.int64)
+        if not len(group_ids) == len(sensitive_codes) == len(counts):
             raise SchemaError("ST column length mismatch")
-        if len(self.counts) and self.counts.min() < 1:
+        if len(counts) and counts.min() < 1:
             raise SchemaError("ST counts must be positive")
-        for arr in (self.group_ids, self.sensitive_codes, self.counts):
+        gid_step = np.diff(group_ids)
+        if np.any((gid_step < 0) | ((gid_step == 0)
+                                    & (np.diff(sensitive_codes) < 0))):
+            order = np.lexsort((sensitive_codes, group_ids))
+            group_ids = group_ids[order]
+            sensitive_codes = sensitive_codes[order]
+            counts = counts[order]
+            gid_step = np.diff(group_ids)
+        self.group_ids = group_ids
+        self.sensitive_codes = sensitive_codes
+        self.counts = counts
+        for arr in (group_ids, sensitive_codes, counts):
             arr.setflags(write=False)
-        self._group_slices: dict[int, slice] = {}
-        if len(self.group_ids):
-            boundaries = np.flatnonzero(np.diff(self.group_ids)) + 1
-            starts = np.concatenate(([0], boundaries))
-            ends = np.concatenate((boundaries, [len(self.group_ids)]))
-            for s, e in zip(starts, ends):
-                self._group_slices[int(self.group_ids[s])] = slice(
-                    int(s), int(e))
-        self._group_sizes: dict[int, int] = {
-            gid: int(self.counts[sl].sum())
-            for gid, sl in self._group_slices.items()
-        }
+        firsts = np.flatnonzero(np.concatenate(([True], gid_step != 0))) \
+            if len(group_ids) else np.zeros(0, dtype=np.int64)
+        self._gids = group_ids[firsts]
+        self._offsets = np.append(firsts, len(group_ids))
+        self._sizes: np.ndarray | None = None
+
+    @classmethod
+    def from_sorted(cls, schema: Schema, group_ids: np.ndarray,
+                    sensitive_codes: np.ndarray, counts: np.ndarray,
+                    offsets: np.ndarray) -> "SensitiveTable":
+        """Wrap read-only record arrays already in (Group-ID, code)
+        order with positive counts, where group ``k`` is records
+        ``[offsets[k], offsets[k+1])``.  Trusted: nothing is checked,
+        so wrapping views of a growing store costs O(groups), not
+        O(records)."""
+        st = cls.__new__(cls)
+        st.schema = schema
+        st.group_ids = group_ids
+        st.sensitive_codes = sensitive_codes
+        st.counts = counts
+        st._gids = group_ids[offsets[:-1]]
+        st._offsets = offsets
+        st._sizes = None
+        return st
+
+    @property
+    def group_sizes(self) -> np.ndarray:
+        """``|QI_j|`` per distinct Group-ID (in ``Group-ID`` order): the
+        sum of each group's counts."""
+        if self._sizes is None:
+            sizes = np.add.reduceat(self.counts, self._offsets[:-1]) \
+                if len(self.counts) else np.zeros(0, dtype=np.int64)
+            sizes.setflags(write=False)
+            self._sizes = sizes
+        return self._sizes
+
+    def _position(self, group_id: int) -> int:
+        """Index ``k`` of ``group_id`` among the distinct Group-IDs."""
+        k = int(np.searchsorted(self._gids, group_id))
+        if k == len(self._gids) or self._gids[k] != group_id:
+            raise PartitionError(
+                f"Group-ID {group_id} not present in ST")
+        return k
 
     def __len__(self) -> int:
         """Number of ST records (one per group × distinct sensitive
@@ -132,25 +174,18 @@ class SensitiveTable:
         return len(self.group_ids)
 
     def group_count(self) -> int:
-        return len(self._group_slices)
+        return len(self._gids)
 
     def group_size(self, group_id: int) -> int:
         """``|QI_j|`` — reconstructed from the ST as the sum of the group's
         counts."""
-        try:
-            return self._group_sizes[group_id]
-        except KeyError:
-            raise PartitionError(
-                f"Group-ID {group_id} not present in ST") from None
+        return int(self.group_sizes[self._position(group_id)])
 
     def group_histogram(self, group_id: int) -> dict[int, int]:
         """``{sensitive code: c_j(v)}`` for one group."""
-        try:
-            sl = self._group_slices[group_id]
-        except KeyError:
-            raise PartitionError(
-                f"Group-ID {group_id} not present in ST") from None
-        return {int(c): int(k) for c, k in
+        k = self._position(group_id)
+        sl = slice(int(self._offsets[k]), int(self._offsets[k + 1]))
+        return {int(c): int(n) for c, n in
                 zip(self.sensitive_codes[sl], self.counts[sl])}
 
     def group_distribution(self, group_id: int) -> dict[int, float]:
@@ -197,53 +232,58 @@ class AnatomizedTables:
     row came from which microdata row); it is retained for analysis and
     verification but is *not* part of the publication — everything an
     adversary or analyst may use is reachable through :attr:`qit` and
-    :attr:`st` alone.
+    :attr:`st` alone.  ``partition`` may also be a zero-argument
+    callable, which builds the partition on first access.
     """
 
-    __slots__ = ("schema", "qit", "st", "partition", "__weakref__")
+    __slots__ = ("schema", "qit", "st", "_partition", "__weakref__")
 
     def __init__(self, schema: Schema, qit: QuasiIdentifierTable,
                  st: SensitiveTable,
-                 partition: Partition | None = None) -> None:
+                 partition: Partition | Callable[[], Partition] | None
+                 = None) -> None:
         self.schema = schema
         self.qit = qit
         self.st = st
-        self.partition = partition
+        self._partition = partition
         if qit.schema is not schema or st.schema is not schema:
             raise SchemaError("QIT/ST schema mismatch")
 
+    @property
+    def partition(self) -> Partition | None:
+        """The originating partition (publisher-side), if retained."""
+        if callable(self._partition):
+            self._partition = self._partition()
+        return self._partition
+
     @classmethod
     def from_partition(cls, partition: Partition) -> "AnatomizedTables":
-        """Render a partition as QIT and ST (lines 13-18 of Figure 3)."""
+        """Render a partition as QIT and ST (lines 13-18 of Figure 3).
+
+        One pass over the concatenated group rows: the QIT is a gather
+        of the QI matrix, and the ST is one ``np.unique`` of the key
+        ``Group-ID * |As| + code``, which yields the records already in
+        (Group-ID, code) order with their counts.
+        """
         table = partition.table
         schema = table.schema
-        qi_matrix = table.qi_matrix()
-
-        qit_rows: list[np.ndarray] = []
-        qit_gids: list[np.ndarray] = []
-        st_gids: list[int] = []
-        st_codes: list[int] = []
-        st_counts: list[int] = []
-        for group in partition:
-            qit_rows.append(qi_matrix[group.indices])
-            qit_gids.append(
-                np.full(group.size, group.group_id, dtype=np.int32))
-            for code, count in sorted(group.sensitive_histogram().items()):
-                st_gids.append(group.group_id)
-                st_codes.append(code)
-                st_counts.append(count)
-
-        if qit_rows:
-            qi_codes = np.vstack(qit_rows)
-            group_ids = np.concatenate(qit_gids)
+        groups = partition.groups
+        if groups:
+            rows = np.concatenate([g.indices for g in groups])
+            sizes = np.fromiter((g.size for g in groups), dtype=np.int64,
+                                count=len(groups))
         else:
-            qi_codes = np.empty((0, schema.d), dtype=np.int32)
-            group_ids = np.empty(0, dtype=np.int32)
-        qit = QuasiIdentifierTable(schema, qi_codes, group_ids)
-        st = SensitiveTable(schema,
-                            np.asarray(st_gids, dtype=np.int32),
-                            np.asarray(st_codes, dtype=np.int32),
-                            np.asarray(st_counts, dtype=np.int64))
+            rows = np.zeros(0, dtype=np.int64)
+            sizes = np.zeros(0, dtype=np.int64)
+        group_ids = np.repeat(
+            np.arange(1, len(groups) + 1, dtype=np.int32), sizes)
+        qit = QuasiIdentifierTable(schema, table.qi_matrix()[rows],
+                                   group_ids)
+        width = schema.sensitive.size
+        keys, counts = np.unique(
+            group_ids.astype(np.int64) * width
+            + table.sensitive_column[rows], return_counts=True)
+        st = SensitiveTable(schema, keys // width, keys % width, counts)
         return cls(schema, qit, st, partition=partition)
 
     @property
@@ -258,11 +298,11 @@ class AnatomizedTables:
         For tables produced from an l-diverse partition this is at most
         ``1/l``.
         """
-        worst = 0.0
-        for gid in self.st._group_slices:
-            dist = self.st.group_distribution(gid)
-            worst = max(worst, max(dist.values()))
-        return worst
+        st = self.st
+        if not len(st):
+            return 0.0
+        group_max = np.maximum.reduceat(st.counts, st._offsets[:-1])
+        return float((group_max / st.group_sizes).max())
 
     def natural_join(self) -> list[tuple[int, ...]]:
         """The natural join QIT ⋈ ST on Group-ID (Lemma 1).

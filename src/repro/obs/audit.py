@@ -40,6 +40,7 @@ from repro.core.privacy import AnatomyAdversary
 from repro.core.tables import AnatomizedTables
 from repro.exceptions import ReproError
 from repro.obs import metrics
+from repro.query.batch import anatomy_index_for
 
 #: Above this many distinct QI vectors the audit reports the group-level
 #: bound instead of running the quadratic exact adversary.
@@ -54,16 +55,20 @@ GAUGE_AUDIT_OK = "repro_privacy_audit_ok"
 
 
 class PrivacyAudit:
-    """The audited privacy posture of one published release."""
+    """The audited privacy posture of one published release.
+
+    ``totals`` is the release's per-sensitive-code tuple count, kept so
+    the audit of a later version can extend this one.
+    """
 
     __slots__ = ("n", "groups", "l", "bound", "max_group_frequency",
                  "breach_probability", "method", "eligibility_margin",
-                 "ok")
+                 "ok", "totals")
 
     def __init__(self, *, n: int, groups: int, l: int, bound: float,
                  max_group_frequency: float, breach_probability: float,
                  method: str, eligibility_margin: float,
-                 ok: bool) -> None:
+                 ok: bool, totals: np.ndarray | None = None) -> None:
         self.n = n
         self.groups = groups
         self.l = l
@@ -73,6 +78,7 @@ class PrivacyAudit:
         self.method = method
         self.eligibility_margin = eligibility_margin
         self.ok = ok
+        self.totals = totals
 
     def to_json(self) -> dict:
         return {
@@ -96,8 +102,17 @@ class PrivacyAudit:
 
 def audit_publication(release: AnatomizedTables, l: int, *,
                       exact_limit: int = DEFAULT_EXACT_LIMIT,
+                      base: PrivacyAudit | None = None,
                       ) -> PrivacyAudit:
     """Audit one published QIT/ST pair against the ``1/l`` target.
+
+    The group terms come from the release's
+    :class:`~repro.query.batch.AnatomyIndex` (built or fetched through
+    :func:`~repro.query.batch.anatomy_index_for`): per-group maxima of
+    ``st_matrix`` over ``group_sizes``, column totals, and the cell
+    count as the number of distinct QI vectors.  ``base``, the audit of
+    a group prefix of ``release`` (an earlier version of the same
+    incremental publication), limits that work to the groups after it.
 
     Examples
     --------
@@ -109,24 +124,26 @@ def audit_publication(release: AnatomizedTables, l: int, *,
     >>> audit.method
     'adversary-exact'
     """
-    st = release.st
-    # Vectorized Corollary 1 bound: counts / group sizes, max over ST.
-    sizes = np.bincount(st.group_ids, weights=st.counts)
+    index = anatomy_index_for(release)
+    start = 0 if base is None else base.groups
+    counts = index.st_matrix[start:]
+    # Vectorized Corollary 1 bound: max count / group size, per group.
     max_group_frequency = float(
-        (st.counts / sizes[st.group_ids]).max()) if len(st) else 0.0
+        (counts.max(axis=1) / index.group_sizes[start:]).max()) \
+        if len(counts) else 0.0
+    totals = counts.sum(axis=0)
+    if base is not None:
+        max_group_frequency = max(base.max_group_frequency,
+                                  max_group_frequency)
+        totals += base.totals
 
     # Published-release eligibility margin from the global ST histogram.
     n = release.n
-    if n:
-        totals = np.bincount(st.sensitive_codes, weights=st.counts)
-        eligibility_margin = float(1.0 - l * totals.max() / n)
-    else:
-        eligibility_margin = 1.0
+    eligibility_margin = float(1.0 - l * totals.max() / n) if n else 1.0
 
-    distinct = np.unique(release.qit.qi_codes, axis=0) if n else \
-        np.empty((0, release.schema.d), dtype=np.int32)
-    if 0 < len(distinct) <= exact_limit:
+    if 0 < index.n_cells <= exact_limit:
         adversary = AnatomyAdversary(release)
+        distinct = zip(*index.cell_columns.values())
         breach = max(
             max(adversary.posterior(tuple(int(c) for c in row))
                 .values())
@@ -140,11 +157,11 @@ def audit_publication(release: AnatomizedTables, l: int, *,
 
     bound = 1.0 / l
     return PrivacyAudit(
-        n=n, groups=st.group_count(), l=l, bound=bound,
+        n=n, groups=index.m, l=l, bound=bound,
         max_group_frequency=max_group_frequency,
         breach_probability=float(breach), method=method,
         eligibility_margin=eligibility_margin,
-        ok=breach <= bound + 1e-12)
+        ok=breach <= bound + 1e-12, totals=totals)
 
 
 def audit_sharded_publication(release: AnatomizedTables, l: int,

@@ -86,7 +86,8 @@ def report_header(current: dict, baseline: dict) -> list[str]:
     def describe(document: dict) -> str:
         metadata = document.get("metadata") or {}
         fields = [f"{key}={metadata[key]}"
-                  for key in ("scale", "workers", "cpu_count")
+                  for key in ("scale", "workers", "cpu_count",
+                              "blas_threads")
                   if key in metadata]
         return ", ".join(fields) if fields else "no metadata"
 

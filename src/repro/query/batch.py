@@ -50,12 +50,15 @@ batch machinery costs nothing extra at construction time.
 
 from __future__ import annotations
 
+import copy
+import math
 import threading
 import weakref
 from collections.abc import Sequence
 
 import numpy as np
 
+from repro.core.arrays import AppendBuffer
 from repro.core.tables import AnatomizedTables
 from repro.dataset.schema import Schema
 from repro.dataset.table import Table
@@ -207,65 +210,150 @@ class MicrodataIndex:
         return out
 
 
+def _qi_keys(schema: Schema, qi: np.ndarray) -> np.ndarray:
+    """One sortable key per QI vector: the mixed-radix code over the
+    attribute domains as int64 when the domains' product fits, else the
+    row's raw bytes."""
+    sizes = [a.size for a in schema.qi_attributes]
+    if math.prod(sizes) < 2 ** 63:
+        keys = np.zeros(len(qi), dtype=np.int64)
+        for k, size in enumerate(sizes):
+            keys *= size
+            keys += qi[:, k]
+        return keys
+    return np.ascontiguousarray(qi, dtype=np.int32).view(
+        np.dtype((np.void, 4 * len(sizes)))).ravel()
+
+
 class AnatomyIndex:
     """Cell/group index of an anatomized publication.
 
     ``st_matrix`` and ``group_sizes`` are the same arrays the per-query
     estimator uses; the batch-only parts are the distinct-cell table and
     the padded member matrix described in the module docstring.
+
+    Every per-group and per-cell array is a prefix view of an
+    :class:`~repro.core.arrays.AppendBuffer`, so :meth:`extend` builds
+    the index of a later incremental release by appending only the new
+    groups' rows, sharing storage with this index, which never changes.
+    A full build is the same append, starting from empty.  Cell ids
+    are assigned in order of first appearance; evaluation does not
+    depend on them.  ``n_cells`` counts the distinct QI vectors and
+    ``cell_columns`` holds them, one code array per QI attribute.
     """
 
     def __init__(self, published: AnatomizedTables) -> None:
-        st = published.st
+        schema = self.schema = published.schema
+        self.m = 0
+        self._n = 0  # QIT rows indexed
+        self.n_cells = 0
+        # Distinct cell keys, sorted, with the cell id of each.
+        self._cell_keys = _qi_keys(
+            schema, np.zeros((0, schema.d), dtype=np.int32))
+        self._cell_ids = np.zeros(0, dtype=np.int64)
+        self._st = AppendBuffer(np.int64, (schema.sensitive.size,))
+        self._st_f = AppendBuffer(np.float64, (schema.sensitive.size,))
+        self._sizes = AppendBuffer(np.float64)
+        self._members = AppendBuffer(np.int64, (0,))
+        self._cells = [AppendBuffer(np.int64) for _ in range(schema.d)]
+        qi, group_ids = published.qit.qi_codes, published.qit.group_ids
+        if np.any(group_ids[1:] < group_ids[:-1]):
+            order = np.argsort(group_ids, kind="stable")
+            qi, group_ids = qi[order], group_ids[order]
+        self._append(published, qi, group_ids)
+
+    def extend(self, published: AnatomizedTables) -> "AnatomyIndex":
+        """The index of ``published``, whose first :attr:`m` groups must
+        be this index's groups, with its QIT and ST rows for them first
+        (every later version of an incremental publication is such a
+        release).  Reads only the rest; this index is left unchanged."""
         qit = published.qit
-        self.schema = published.schema
-        self.m = st.group_count()
-        sens_size = self.schema.sensitive.size
-        # Dense per-group sensitive histogram; group_id g -> row g-1.
-        self.st_matrix = np.zeros((self.m, sens_size), dtype=np.int64)
-        self.st_matrix[st.group_ids - 1, st.sensitive_codes] = st.counts
-        self.group_sizes = self.st_matrix.sum(axis=1).astype(np.float64)
-        if np.any(self.group_sizes == 0):
+        if published.st.group_count() < self.m or qit.n < self._n:
+            raise QueryError(
+                f"release with {published.st.group_count()} groups does "
+                f"not extend an index of {self.m} groups")
+        index = copy.copy(self)
+        index._append(published, qit.qi_codes[self._n:],
+                      qit.group_ids[self._n:])
+        return index
+
+    def _append(self, published: AnatomizedTables, qi: np.ndarray,
+                group_ids: np.ndarray) -> None:
+        """Index the groups of ``published`` past :attr:`m`; ``qi`` and
+        ``group_ids`` are their QIT rows in Group-ID order."""
+        st = published.st
+        m0, n0, k0 = self.m, self._n, self.n_cells
+        g = st.group_count() - m0
+        records = slice(int(np.searchsorted(st.group_ids, m0,
+                                            side="right")), len(st))
+        # Dense per-group sensitive histogram; group_id j -> row j-1.
+        block = np.zeros((g, self.schema.sensitive.size), dtype=np.int64)
+        block[st.group_ids[records] - m0 - 1,
+              st.sensitive_codes[records]] = st.counts[records]
+        sizes = block.sum(axis=1).astype(np.float64)
+        if np.any(sizes == 0):
             raise QueryError("ST contains an empty group")
-        self._st_matrix_f = self.st_matrix.astype(np.float64)
-        if self.m:
-            self._st_scaled_t = np.ascontiguousarray(
+        # Cells: look the new rows' distinct QI vectors up among the
+        # known ones; unseen vectors become cells k0, k0+1, ...
+        keys, inverse = np.unique(_qi_keys(self.schema, qi),
+                                  return_inverse=True)
+        row_of = np.empty(len(keys), dtype=np.int64)
+        row_of[inverse] = np.arange(len(qi))  # some row of each key
+        at = np.searchsorted(self._cell_keys, keys)
+        known = at < len(self._cell_keys)
+        known[known] = self._cell_keys[at[known]] == keys[known]
+        fresh = ~known
+        ids = np.empty(len(keys), dtype=np.int64)
+        ids[known] = self._cell_ids[at[known]]
+        ids[fresh] = k0 + np.arange(int(fresh.sum()))
+        self._cell_keys = np.insert(self._cell_keys, at[fresh],
+                                    keys[fresh])
+        self._cell_ids = np.insert(self._cell_ids, at[fresh], ids[fresh])
+        fresh_cells = qi[row_of[fresh]]
+        self._cells = [buf.append(k0, fresh_cells[:, k])
+                       for k, buf in enumerate(self._cells)]
+        self.n_cells = k0 + len(fresh_cells)
+        # Member matrix: row j holds the cell ids of group j+1's tuples,
+        # padded with -1, which selects an all-zero mask row.
+        counts = np.bincount(group_ids - m0 - 1, minlength=g)
+        width = max(self._members.tail[0], int(counts.max(initial=0)))
+        members = np.full((g, width), -1, dtype=np.int64)
+        within = np.arange(len(qi)) - np.repeat(np.cumsum(counts) - counts,
+                                                counts)
+        members[group_ids - m0 - 1, within] = ids[inverse]
+        if width > self._members.tail[0]:
+            old = np.full((m0, width), -1, dtype=np.int64)
+            old[:, :self._members.tail[0]] = self._members.view(m0)
+            self._members = AppendBuffer(np.int64, (width,)).append(0, old)
+        self._members = self._members.append(m0, members)
+        self._st = self._st.append(m0, block)
+        self._st_f = self._st_f.append(m0, block.astype(np.float64))
+        self._sizes = self._sizes.append(m0, sizes)
+        self.m, self._n = m0 + g, n0 + len(qi)
+        self.st_matrix = self._st.view(self.m)
+        self.group_sizes = self._sizes.view(self.m)
+        self._st_matrix_f = self._st_f.view(self.m)
+        self._member_cells = self._members.view(self.m)
+        self.cell_columns = {
+            a.name: buf.view(self.n_cells)
+            for a, buf in zip(self.schema.qi_attributes, self._cells)}
+        self._scaled_t = None
+
+    @property
+    def _st_scaled_t(self) -> np.ndarray:
+        """``(ST / |QI|)^T``, the fast mode's contraction operand
+        (built on first use)."""
+        if self._scaled_t is None:
+            self._scaled_t = np.ascontiguousarray(
                 (self._st_matrix_f / self.group_sizes[:, None]).T)
-        else:
-            self._st_scaled_t = np.zeros((sens_size, 0), dtype=np.float64)
-        # Distinct QI combinations (cells) and the padded member matrix:
-        # row j holds the cell ids of group j+1's tuples, padded with the
-        # sentinel cell K whose mask bits are always zero.
-        n = qit.n
-        group_ids = qit.group_ids
-        if n == 0:
-            self._n_cells = 0
-            self._member_cells = np.zeros((self.m, 0), dtype=np.int64)
-            self._cell_columns = {
-                attr.name: np.zeros(0, dtype=np.int64)
-                for attr in self.schema.qi_attributes}
-            return
-        order = np.argsort(group_ids, kind="stable")
-        cells, inverse = np.unique(qit.qi_codes[order], axis=0,
-                                   return_inverse=True)
-        self._n_cells = cells.shape[0]
-        sizes = np.bincount(group_ids - 1, minlength=self.m)
-        starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
-        within_group = np.arange(n) - np.repeat(starts, sizes)
-        member_cells = np.full((self.m, int(sizes.max())),
-                               self._n_cells, dtype=np.int64)
-        member_cells[group_ids[order] - 1, within_group] = inverse
-        self._member_cells = member_cells
-        self._cell_columns = {
-            attr.name: np.ascontiguousarray(cells[:, i])
-            for i, attr in enumerate(self.schema.qi_attributes)}
+        return self._scaled_t
 
     def _satisfied_counts(self, encoding: WorkloadEncoding,
                           wlo: int, whi: int, q_chunk: int) -> np.ndarray:
         """``(m, q_chunk)`` uint8 per-group counts of tuples satisfying
         each query's QI predicates, for one byte-aligned chunk."""
         mask = None
-        for name, cell_column in self._cell_columns.items():
+        for name, cell_column in self.cell_columns.items():
             bits = encoding.qi_bits[name]
             if bits is None:
                 continue
@@ -274,7 +362,8 @@ class AnatomyIndex:
                 mask, gathered, out=mask)
         width = whi - wlo
         if mask is None:  # no query constrains any QI attribute
-            mask = np.full((self._n_cells, width), 0xFF, dtype=np.uint8)
+            mask = np.full((self.n_cells, width), 0xFF, dtype=np.uint8)
+        # The trailing zero row is what the -1 padding selects.
         padded = np.vstack([mask, np.zeros((1, width), dtype=np.uint8)])
         member_cells = self._member_cells
         s_max = member_cells.shape[1]
@@ -434,14 +523,16 @@ _INDEX_CACHE_LOCK = threading.Lock()
 _INDEX_CACHE_TALLY = {"hits": 0, "misses": 0}
 
 
-def anatomy_index_for(published: AnatomizedTables) -> AnatomyIndex:
+def anatomy_index_for(published: AnatomizedTables, *,
+                      base: AnatomyIndex | None = None) -> AnatomyIndex:
     """The cached :class:`AnatomyIndex` for ``published``, built on first
-    use.
+    use — by ``base.extend(published)`` when ``base`` indexes a group
+    prefix of it, else from scratch.
 
     Releases are immutable once published, so the index is a pure
     function of the release object; caching it means repeat estimator
     constructions against the same release (every frontend request, in
-    the service) skip the O(n log n) rebuild.  Hits and misses are
+    the service) skip the rebuild.  Hits and misses are
     tallied (see :func:`index_cache_stats`) and mirrored to
     ``repro_index_cache_{hits,misses}_total`` when metrics are on.
     """
@@ -455,7 +546,8 @@ def anatomy_index_for(published: AnatomizedTables) -> AnatomyIndex:
     if not hit:
         # Build outside the lock: concurrent first requests may build
         # twice, but both indexes are equivalent and the last one wins.
-        index = AnatomyIndex(published)
+        index = AnatomyIndex(published) if base is None \
+            else base.extend(published)
         with _INDEX_CACHE_LOCK:
             index = _INDEX_CACHE.setdefault(published, index)
     return index

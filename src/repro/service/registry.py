@@ -9,14 +9,16 @@ adversary correlating releases learns nothing about old tuples (see
 :mod:`repro.core.incremental`).
 
 Queries never touch the anatomizer directly; they read an immutable
-:class:`PublicationSnapshot` — ``(version, release, estimator)`` —
-captured under the publication's read lock.  The snapshot for the
-current version is built at most once (double-checked under a separate
-build mutex) and shared by every concurrent reader, so a query stream
-costs one :class:`~repro.query.estimators.AnatomyEstimator`
-construction per version, not per query.  Ingestion takes the write
-lock, which the lock's writer priority keeps reachable under heavy
-query load; a reader can therefore never observe a half-sealed release.
+:class:`PublicationSnapshot` — ``(version, release, estimator)``.  The
+snapshot for the current version is built at most once (double-checked
+under a build mutex) and shared by every concurrent reader, so a query
+stream costs one :class:`~repro.query.estimators.AnatomyEstimator`
+construction per version, not per query — and that construction
+extends the previous version's index by the newly sealed groups only.
+Snapshots need no reader lock: the anatomizer bumps its version only
+after a seal is fully stored in its append-only arrays, so a reader can
+never observe a half-sealed release.  Ingestion, stats and historical
+reads still serialize through a reader-writer lock.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from repro.obs.audit import (
     record_publication_audit,
 )
 from repro.perf import span
+from repro.query.batch import anatomy_index_for
 from repro.query.estimators import AnatomyEstimator
 from repro.service.locks import RWLock
 from repro.shard.query import ShardedQueryEvaluator
@@ -200,35 +203,43 @@ class Publication:
 
     def snapshot(self) -> PublicationSnapshot:
         """The current version's immutable snapshot (shared, built at
-        most once per version)."""
-        with self._rwlock.read_locked():
-            version = self._anatomizer.version
-            snap = self._snapshot
-            if snap.version == version:
-                return snap
-            # Readers may race here; the build mutex elects one builder
-            # per version while writers stay excluded by the read lock.
-            with self._build_lock:
-                snap = self._snapshot
-                if snap.version == version:
-                    return snap
-                with span("service.snapshot", publication=self.name,
-                          version=version, shards=self.shards):
-                    release = self._anatomizer.publish()
-                    estimator, audit = self._build_estimator(release)
-                record_publication_audit(self.name, version, audit)
-                previous = self._snapshot.estimator
-                snap = PublicationSnapshot(self.name, version, release,
-                                           estimator, audit)
-                self._snapshot = snap
-                if isinstance(previous, ShardedQueryEvaluator):
-                    previous.close()
-                return snap
+        most once per version).
 
-    def _build_estimator(self, release: AnatomizedTables) -> tuple:
+        Takes no lock unless it has to build: sealed groups are
+        append-only and the version is bumped only after a seal is
+        fully stored, so a release read at any observed version is
+        complete.  A build extends the previous snapshot's index and
+        audit by the groups sealed since, and caches the extended index
+        for the new release.
+        """
+        snap = self._snapshot
+        version = self._anatomizer.version
+        if snap.version >= version:
+            return snap
+        # The build mutex elects one builder per version.
+        with self._build_lock:
+            previous = self._snapshot
+            if previous.version >= version:
+                return previous
+            with span("service.snapshot", publication=self.name,
+                      version=version, shards=self.shards):
+                release = self._anatomizer.publish(at_version=version)
+                estimator, audit = self._build_estimator(release,
+                                                         previous)
+            record_publication_audit(self.name, version, audit)
+            snap = PublicationSnapshot(self.name, version, release,
+                                       estimator, audit)
+            self._snapshot = snap
+            if isinstance(previous.estimator, ShardedQueryEvaluator):
+                previous.estimator.close()
+            return snap
+
+    def _build_estimator(self, release: AnatomizedTables,
+                         previous: PublicationSnapshot) -> tuple:
         """The (estimator, audit) pair for one freshly published
-        release: fan-out evaluator plus shard-aware audit when the
-        publication shards its query path, the classic pair otherwise."""
+        release: fan-out evaluator plus shard-aware audit, rebuilt from
+        scratch, when the publication shards its query path; otherwise
+        the classic pair, extending the previous snapshot's."""
         l = self._anatomizer.l
         if self.shards > 1:
             estimator = ShardedQueryEvaluator(release, shards=self.shards,
@@ -236,8 +247,11 @@ class Publication:
             audit = audit_sharded_publication(
                 release, l, estimator.sharded.group_ranges)
         else:
+            base = previous.estimator
+            anatomy_index_for(release,
+                              base=None if base is None else base.index)
             estimator = AnatomyEstimator(release)
-            audit = audit_publication(release, l)
+            audit = audit_publication(release, l, base=previous.audit)
         return estimator, audit
 
     def close(self) -> None:

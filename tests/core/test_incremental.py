@@ -54,6 +54,35 @@ class TestIngestion:
             IncrementalAnatomizer(schema, l=0)
 
 
+class TestAtomicIngest:
+    @pytest.mark.parametrize("bad", [
+        [(1, 5), (2, 6), (99, 0), (3, 7)],  # out of domain mid-batch
+        [(1, 5), (2, 6), (1, 2, 3)],        # wrong arity mid-batch
+        [(1, 5), ("x", 1)],                  # not a code
+    ], ids=["domain", "arity", "type"])
+    def test_rejected_batch_leaves_state_unchanged(self, schema, bad):
+        good = rows_for(schema, [0, 1, 2, 3, 4, 0, 1])
+        inc = IncrementalAnatomizer(schema, l=3)
+        twin = IncrementalAnatomizer(schema, l=3)
+        for target in (inc, twin):
+            target.insert_codes(good[:5])
+        before = (inc.buffered_count, inc.version,
+                  inc.buffered_histogram())
+        with pytest.raises(SchemaError):
+            inc.insert_codes(bad)
+        assert (inc.buffered_count, inc.version,
+                inc.buffered_histogram()) == before
+        # The next release is the one the bad batch never touched.
+        for target in (inc, twin):
+            target.insert_codes(good[5:])
+        for got, want in zip(
+                (inc.publish().qit.qi_codes, inc.publish().st.counts,
+                 inc.publish().st.sensitive_codes),
+                (twin.publish().qit.qi_codes, twin.publish().st.counts,
+                 twin.publish().st.sensitive_codes)):
+            assert np.array_equal(got, want)
+
+
 class TestPublication:
     def test_publish_before_any_group_raises(self, schema):
         inc = IncrementalAnatomizer(schema, l=3)
@@ -140,11 +169,15 @@ class TestVersioning:
         assert seen == sorted(seen)
         assert seen[-1] == inc.group_count
 
-    def test_publish_is_cached_snapshot_per_version(self, schema):
+    def test_publish_is_side_effect_free_prefix_view(self, schema):
         inc = IncrementalAnatomizer(schema, l=3)
         inc.insert_codes(rows_for(schema, [0, 1, 2, 3, 4, 5]))
         first = inc.publish()
-        assert inc.publish() is first  # side-effect-free repeat
+        again = inc.publish()  # side-effect-free repeat: same bytes
+        assert np.array_equal(again.qit.qi_codes, first.qit.qi_codes)
+        assert np.array_equal(again.st.sensitive_codes,
+                              first.st.sensitive_codes)
+        assert not first.qit.qi_codes.flags.writeable
         inc.insert_codes(rows_for(schema, [6, 7, 8]))
         second = inc.publish()
         assert second is not first

@@ -177,3 +177,19 @@ def test_fast_and_heap_same_size_multiset(instance, seed):
     r = len(table) % l
     assert fast_sizes.count(l + 1) == r
     assert all(size in (l, l + 1) for size in fast_sizes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(eligible_instance(), st.sampled_from(["heap", "fast"]))
+def test_breach_bound_is_brute_force_group_max(instance, method):
+    """The vectorized Corollary-1 bound equals a per-record brute-force
+    max of ``c_j(v) / |QI_j|`` over the ST."""
+    codes, l = instance
+    published = anatomize(build_table(codes), l, seed=0, method=method)
+    st_table = published.st
+    sizes: dict[int, int] = {}
+    for gid, _, count in st_table.iter_records():
+        sizes[gid] = sizes.get(gid, 0) + count
+    brute = max(count / sizes[gid]
+                for gid, _, count in st_table.iter_records())
+    assert published.breach_probability_bound() == brute

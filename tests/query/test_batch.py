@@ -206,3 +206,28 @@ class TestEvaluateWorkloadBatch:
                                    evaluators["anatomy"])
         assert result.evaluated == 0
         assert result.skipped_zero_actual == 0
+
+
+def test_anatomy_index_on_domains_too_wide_for_int64_keys():
+    """Cells are keyed on raw QI bytes when the domain product overflows
+    int64; the index, full or extended, still answers bit-identically."""
+    from repro.core.incremental import IncrementalAnatomizer
+    from repro.query.batch import AnatomyIndex
+
+    schema = Schema([Attribute(f"Q{k}", range(1000)) for k in range(7)],
+                    Attribute("S", range(5)))
+    rng = np.random.default_rng(8)
+    rows = np.column_stack(
+        [rng.integers(0, 3, 400) for _ in range(7)]
+        + [np.resize(np.arange(5), 400)])
+    inc = IncrementalAnatomizer(schema, l=5)
+    inc.insert_codes(rows[:200].tolist())
+    first = AnatomyIndex(inc.publish())
+    inc.insert_codes(rows[200:].tolist())
+    release = inc.publish()
+    queries = [CountQuery(schema, {"Q0": [0, 1], "Q3": [2]}, [0, 4]),
+               CountQuery(schema, {"Q6": [1]}, [1, 2, 3])]
+    encoding = WorkloadEncoding(schema, queries)
+    expected = [AnatomyEstimator(release).estimate(q) for q in queries]
+    for index in (AnatomyIndex(release), first.extend(release)):
+        assert index.evaluate(encoding).tolist() == expected

@@ -103,6 +103,19 @@ class TestLifecycle:
         assert api("POST", "/publications/p/ingest",
                    {"rows": [[999, 0]]})[0] == 400
 
+    def test_rejected_ingest_buffers_nothing(self, api):
+        create_publication(api)
+        api("POST", "/publications/p/ingest", {"rows": make_rows(10)})
+        before = api("GET", "/publications/p/stats")[1]
+        rows = make_rows(20, start=10)
+        for bad in ([999, 0], [1, 2, 3], ["x", 0]):
+            status, _ = api("POST", "/publications/p/ingest",
+                            {"rows": rows[:15] + [bad] + rows[15:]})
+            assert status == 400
+        after = api("GET", "/publications/p/stats")[1]
+        for key in ("version", "buffered", "published_tuples"):
+            assert after[key] == before[key]
+
 
 class TestEndToEnd:
     def test_two_wave_ingest_with_cache_invalidation(self, api):

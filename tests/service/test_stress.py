@@ -12,10 +12,12 @@ bit for bit.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
 
+from repro.query.batch import AnatomyIndex, WorkloadEncoding
 from repro.query.estimators import AnatomyEstimator
 from repro.query.predicates import CountQuery
 from repro.service.frontend import QueryFrontend
@@ -133,3 +135,56 @@ def test_writers_not_starved_by_readers(schema):
             thread.join(timeout=10)
         frontend.close()
     assert publication.version > 2
+
+
+def test_lock_free_snapshots_are_complete(schema):
+    """Snapshots are taken without the reader lock while a writer seals
+    groups into shared append-only arrays: with a tiny thread switch
+    interval, every snapshot must hold exactly its version's groups, and
+    the index it built then must match a from-scratch index of the
+    release read back after the run."""
+    publication = PublicationRegistry().create("p", schema, l=L)
+    seen: dict = {}
+    errors: list[BaseException] = []
+    done = threading.Event()
+
+    def reader() -> None:
+        try:
+            while not done.is_set():
+                snap = publication.snapshot()
+                if snap.release is not None:
+                    assert snap.release.n == L * snap.version
+                    assert snap.release.st.group_count() == snap.version
+                    seen.setdefault(snap.version, snap)
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    readers = [threading.Thread(target=reader, daemon=True)
+               for _ in range(4)]
+    try:
+        for thread in readers:
+            thread.start()
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            publication.ingest([(int(rng.integers(50)),
+                                 int(rng.integers(20)))
+                                for _ in range(10)])
+    finally:
+        done.set()
+        for thread in readers:
+            thread.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in readers)
+    assert not errors, errors
+    assert len(seen) > 1
+    queries = [CountQuery(schema, {"A": range(k, 50, 3)}, range(k, 20, 2))
+               for k in range(3)]
+    encoding = WorkloadEncoding(schema, queries)
+    for version, snap in seen.items():
+        scratch = AnatomyIndex(publication.release_at(version))
+        index = snap.estimator.index
+        assert np.array_equal(index.st_matrix, scratch.st_matrix)
+        assert np.array_equal(index.evaluate(encoding),
+                              scratch.evaluate(encoding))

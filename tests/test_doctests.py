@@ -16,6 +16,7 @@ import pytest
 MODULE_NAMES = [
     "repro",
     "repro.core.anatomize",
+    "repro.core.arrays",
     "repro.core.incremental",
     "repro.core.privacy",
     "repro.dataset.census",
